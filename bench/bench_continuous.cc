@@ -2,9 +2,11 @@
 // "processing the continuous queries at the location-based server should
 // be done incrementally") plus the Section 2.1 trajectory-linkage threat.
 //
-// Series: continuous range/NN re-evaluation latency and cache-hit rate vs.
-// slack margin and movement step size, against one-shot re-execution; and
-// the exposure rate of the linkage adversary vs. privacy level k.
+// Series: standing range/NN re-evaluation latency and cache-hit rate vs.
+// movement step size and standing count maintenance, each against one-shot
+// re-execution, all through CloakDbService's standing-query API; the
+// standing registry's scaling with the number of live queries; and the
+// exposure rate of the linkage adversary vs. privacy level k.
 
 #include <benchmark/benchmark.h>
 
@@ -12,8 +14,6 @@
 
 #include "bench_common.h"
 #include "core/linkage.h"
-#include "server/continuous_queries.h"
-#include "server/private_queries.h"
 #include "service/cloak_db_service.h"
 #include "sim/movement.h"
 
@@ -22,122 +22,172 @@ namespace {
 
 using bench::kInf;
 
-// Continuous range query under a random walk, incremental vs. one-shot.
+// A one-shard service with `num_pois` category-1 POIs and one issuer (user
+// 1) whose naive cloak is a centered square of area `side`^2, so a random
+// walk of the user walks the cloaked region exactly like a moving window.
+// Incremental cloak reuse is off: otherwise the region would stay put
+// until the user walked out of it, and most steps would not move it.
+std::unique_ptr<CloakDbService> MakeWalkService(size_t num_pois,
+                                                double side,
+                                                const Point& start) {
+  CloakDbServiceOptions options;
+  options.space = bench::Space();
+  options.num_shards = 1;
+  options.anonymizer.algorithm = CloakingKind::kNaive;
+  options.anonymizer.enable_incremental = false;
+  auto db = CloakDbService::Create(options).value();
+  Rng rng(bench::kSeed ^ 0x9999);
+  PoiOptions poi;
+  poi.count = num_pois;
+  poi.category = 1;
+  (void)db->BulkLoadCategory(
+      1, GeneratePois(bench::Space(), poi, &rng).value());
+  (void)db->RegisterUser(
+      1, PrivacyProfile::Uniform({1, side * side, kInf}).value());
+  (void)db->UpdateLocation(1, start, bench::Noon());
+  return db;
+}
+
+/// Moves the issuer one random step (clamped so its cloak stays inside the
+/// space) and returns the new cloaked region.
+Rect StepIssuer(CloakDbService* db, Point* at, double step, double half,
+                Rng* rng) {
+  at->x = std::clamp(at->x + rng->Uniform(-step, step), half, 100.0 - half);
+  at->y = std::clamp(at->y + rng->Uniform(-step, step), half, 100.0 - half);
+  return db->UpdateLocation(1, *at, bench::Noon()).value().cloaked.region;
+}
+
+/// Incremental arm bookkeeping: the share of region changes the standing
+/// registry served from its cached fetch (re-filter) rather than by a full
+/// re-evaluation, read from the registry's own cq.* counters.
+void ReportCacheHitRate(const CloakDbService& db, uint64_t refilters_before,
+                        uint64_t reevals_before, benchmark::State* state) {
+  const uint64_t refilters =
+      db.metrics().CounterValue("cq.incremental_refilters_total") -
+      refilters_before;
+  const uint64_t reevals =
+      db.metrics().CounterValue("cq.full_reevals_total") - reevals_before;
+  if (refilters + reevals == 0) return;
+  state->counters["cache_hit_rate"] =
+      static_cast<double>(refilters) /
+      static_cast<double>(refilters + reevals);
+}
+
+// Standing private range query under a random walk: the registry's
+// incremental re-filter (plus the stale sweep when the walk leaves the
+// cached coverage) vs. a one-shot PrivateRange per move. Both arms pay the
+// same cloaked update.
 void BM_S53b_ContinuousRange(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
   const double step = static_cast<double>(state.range(1)) / 10.0;
-  auto server = bench::MakeServer(5000);
-  ContinuousOptions options;
-  options.slack_margin = 5.0;
-  ContinuousQueryProcessor cq(&server->store(), options);
-
-  Rect region(40, 40, 46, 46);
-  auto id = cq.RegisterRange(region, 3.0, 1).value();
+  Point at{43, 43};
+  auto db = MakeWalkService(5000, 6.0, at);
+  ContinuousQueryId id = 0;
+  if (incremental) id = db->RegisterContinuousRange(1, 3.0, 1).value();
+  const uint64_t refilters_before =
+      db->metrics().CounterValue("cq.incremental_refilters_total");
+  const uint64_t reevals_before =
+      db->metrics().CounterValue("cq.full_reevals_total");
   Rng rng(1);
   size_t results = 0;
   for (auto _ : state) {
-    region = Rect(
-        std::clamp(region.min_x + rng.Uniform(-step, step), 0.0, 94.0),
-        std::clamp(region.min_y + rng.Uniform(-step, step), 0.0, 94.0), 0,
-        0);
-    region.max_x = region.min_x + 6;
-    region.max_y = region.min_y + 6;
+    const Rect region = StepIssuer(db.get(), &at, step, 3.0, &rng);
     if (incremental) {
-      auto out = cq.UpdateRegion(id, region);
-      results += out.value().size();
+      (void)db->SweepContinuousStale();
+      results += db->AnswerContinuous(id).value().candidates.size();
     } else {
-      auto out = PrivateRangeQuery(server->store(), region, 3.0, 1);
-      results += out.value().candidates.size();
+      results += db->PrivateRange(region, 3.0, 1).value().candidates.size();
     }
   }
   benchmark::DoNotOptimize(results);
   state.counters["incremental"] = incremental ? 1.0 : 0.0;
   state.counters["step"] = step;
-  if (incremental && cq.stats().region_updates > 0) {
-    state.counters["cache_hit_rate"] =
-        static_cast<double>(cq.stats().incremental_filters) /
-        static_cast<double>(cq.stats().region_updates);
-  }
+  if (incremental)
+    ReportCacheHitRate(*db, refilters_before, reevals_before, &state);
 }
 BENCHMARK(BM_S53b_ContinuousRange)
     ->Args({0, 10})->Args({1, 10})   // 1.0-unit steps
     ->Args({0, 50})->Args({1, 50})   // 5.0-unit steps
     ->Unit(benchmark::kMicrosecond);
 
-// Continuous NN query under a random walk.
+// Standing private NN query under a random walk (1.0-unit steps).
 void BM_S53b_ContinuousNn(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
-  auto server = bench::MakeServer(5000);
-  ContinuousQueryProcessor cq(&server->store());
-  Rect region(40, 40, 45, 45);
-  auto id = cq.RegisterNn(region, 1).value();
+  Point at{42.5, 42.5};
+  auto db = MakeWalkService(5000, 5.0, at);
+  ContinuousQueryId id = 0;
+  if (incremental) id = db->RegisterContinuousNn(1, 1).value();
+  const uint64_t refilters_before =
+      db->metrics().CounterValue("cq.incremental_refilters_total");
+  const uint64_t reevals_before =
+      db->metrics().CounterValue("cq.full_reevals_total");
   Rng rng(2);
   size_t results = 0;
   for (auto _ : state) {
-    region = Rect(
-        std::clamp(region.min_x + rng.Uniform(-1.0, 1.0), 0.0, 95.0),
-        std::clamp(region.min_y + rng.Uniform(-1.0, 1.0), 0.0, 95.0), 0, 0);
-    region.max_x = region.min_x + 5;
-    region.max_y = region.min_y + 5;
+    const Rect region = StepIssuer(db.get(), &at, 1.0, 2.5, &rng);
     if (incremental) {
-      auto out = cq.UpdateRegion(id, region);
-      results += out.value().size();
+      (void)db->SweepContinuousStale();
+      results += db->AnswerContinuous(id).value().candidates.size();
     } else {
-      auto out = PrivateNnQuery(server->store(), region, 1);
-      results += out.value().candidates.size();
+      results += db->PrivateNn(region, 1).value().candidates.size();
     }
   }
   benchmark::DoNotOptimize(results);
   state.counters["incremental"] = incremental ? 1.0 : 0.0;
-  if (incremental && cq.stats().region_updates > 0) {
-    state.counters["cache_hit_rate"] =
-        static_cast<double>(cq.stats().incremental_filters) /
-        static_cast<double>(cq.stats().region_updates);
-  }
+  if (incremental)
+    ReportCacheHitRate(*db, refilters_before, reevals_before, &state);
 }
 BENCHMARK(BM_S53b_ContinuousNn)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);
 
-// Continuous count maintenance: O(1) delta updates vs. window re-scan.
+// Standing count maintenance: the registry's O(1) contribution delta on
+// every applied update vs. a one-shot window re-scan per update. 20k users
+// with naive cloaks of side 1-6; each iteration moves one user. The
+// maintained answer is read once at the end and checked against a one-shot
+// count over the same state (`maintained_exact`).
 void BM_S53b_ContinuousCount(benchmark::State& state) {
   const bool incremental = state.range(0) != 0;
-  QueryProcessor server(bench::Space());
-  ContinuousQueryProcessor cq(&server.store());
+  constexpr UserId kUsers = 20000;
+  CloakDbServiceOptions options;
+  options.space = bench::Space();
+  options.num_shards = 1;
+  options.anonymizer.algorithm = CloakingKind::kNaive;
+  auto db = CloakDbService::Create(options).value();
   Rng rng(3);
-  std::unordered_map<ObjectId, Rect> regions;
-  for (ObjectId id = 1; id <= 20000; ++id) {
-    Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
-    Rect r = Rect::CenteredSquare(c, rng.Uniform(1, 6));
-    (void)server.store().UpsertPrivateRegion(id, r);
-    regions[id] = r;
+  for (UserId user = 1; user <= kUsers; ++user) {
+    const double side = rng.Uniform(1, 6);
+    (void)db->RegisterUser(
+        user, PrivacyProfile::Uniform({1, side * side, kInf}).value());
+    (void)db->UpdateLocation(user, {rng.Uniform(5, 95), rng.Uniform(5, 95)},
+                             bench::Noon());
   }
-  Rect window(30, 30, 70, 70);
-  auto id = cq.RegisterCount(window).value();
+  const Rect window(30, 30, 70, 70);
+  ContinuousQueryId id = 0;
+  if (incremental) id = db->RegisterContinuousCount(window).value();
   double checksum = 0.0;
   for (auto _ : state) {
-    // One user moves, then the current expected count is read.
-    ObjectId user = 1 + rng.NextBelow(20000);
-    Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
-    Rect next = Rect::CenteredSquare(c, rng.Uniform(1, 6));
-    (void)server.store().UpsertPrivateRegion(user, next);
+    const UserId user = 1 + rng.NextBelow(kUsers);
+    (void)db->UpdateLocation(user, {rng.Uniform(5, 95), rng.Uniform(5, 95)},
+                             bench::Noon());
     if (incremental) {
-      (void)cq.NotifyPrivateRegionChanged(user, regions[user], next);
-      regions[user] = next;
-      // Expected value is maintained; read it without rebuilding the PDF.
-      benchmark::DoNotOptimize(cq.stats().count_delta_updates);
-      checksum += 1.0;
+      checksum += 1.0;  // Maintained by the drain; read once below.
     } else {
-      regions[user] = next;
-      auto out = server.PublicCount(window);
-      checksum += out.value().answer.expected;
+      checksum += db->PublicCount(window).value().answer.expected;
     }
   }
   benchmark::DoNotOptimize(checksum);
   state.counters["incremental"] = incremental ? 1.0 : 0.0;
-  // Final consistency read of the maintained answer.
-  auto final_count = cq.CurrentCount(id);
-  state.counters["final_expected"] =
-      final_count.ok() ? final_count.value().expected : -1.0;
+  const double one_shot = db->PublicCount(window).value().answer.expected;
+  state.counters["final_expected"] = one_shot;
+  if (incremental) {
+    auto maintained = db->AnswerContinuous(id);
+    state.counters["maintained_exact"] =
+        maintained.ok() && maintained.value().count.expected == one_shot
+            ? 1.0
+            : 0.0;
+    state.counters["count_delta_updates"] = static_cast<double>(
+        db->metrics().CounterValue("cq.count_delta_updates_total"));
+  }
 }
 BENCHMARK(BM_S53b_ContinuousCount)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMicrosecond);

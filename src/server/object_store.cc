@@ -82,9 +82,6 @@ Status ObjectStore::BulkLoadCategory(Category category,
 Status ObjectStore::AdoptCategorySealed(
     Category category, StaticRTree sealed,
     const std::vector<PublicObject>& objects) {
-  if (public_index_.mode != PublicIndexMode::kStatic)
-    return Status::FailedPrecondition(
-        "adoption requires static public-index mode");
   for (const auto& o : objects) {
     auto it = public_meta_.find(o.id);
     if (it != public_meta_.end() && it->second.category != category)

@@ -42,8 +42,8 @@ struct PublicObject {
 class ObjectStore {
  public:
   /// `space` bounds the private-region index; public objects may lie
-  /// anywhere. `public_index` selects the per-category structure (dynamic
-  /// R-tree, or sealed StaticRTree + overlay) for public data.
+  /// anywhere. `public_index` configures the per-category public-data
+  /// index (compaction limit, lifecycle counters).
   explicit ObjectStore(const Rect& space, uint32_t rect_grid_cells = 64,
                        const PublicCategoryIndex::Config& public_index = {});
 
@@ -67,7 +67,7 @@ class ObjectStore {
   /// is verified entry-by-entry against `objects` — the authoritative set
   /// from the checkpoint; divergence that AdoptSealed cannot reconcile
   /// fails and leaves the store unchanged (caller falls back to
-  /// BulkLoadCategory). Requires static public-index mode.
+  /// BulkLoadCategory).
   Status AdoptCategorySealed(Category category, StaticRTree sealed,
                              const std::vector<PublicObject>& objects);
 
@@ -79,9 +79,6 @@ class ObjectStore {
 
   /// Mutable access for the service layer's checkpoint-time compaction.
   PublicCategoryIndex* MutableCategoryIndex(Category category);
-
-  /// The configured public-index mode.
-  PublicIndexMode public_index_mode() const { return public_index_.mode; }
 
   /// All categories currently populated.
   std::vector<Category> Categories() const;

@@ -10,44 +10,17 @@
 
 namespace cloakdb {
 
-void MergeServerStats(ServerStats* into, const ServerStats& from) {
-  into->cloaked_updates += from.cloaked_updates;
-  into->private_range_queries += from.private_range_queries;
-  into->private_nn_queries += from.private_nn_queries;
-  into->private_knn_queries += from.private_knn_queries;
-  into->private_private_queries += from.private_private_queries;
-  into->public_count_queries += from.public_count_queries;
-  into->public_nn_queries += from.public_nn_queries;
-  into->heatmap_queries += from.heatmap_queries;
-  into->range_candidates.Merge(from.range_candidates);
-  into->nn_candidates.Merge(from.nn_candidates);
-  into->bytes_to_clients += from.bytes_to_clients;
-}
-
 QueryProcessor::QueryProcessor(const Rect& space, uint32_t rect_grid_cells,
-                               const WireCostModel& wire_cost,
                                const PublicCategoryIndex::Config& public_index)
-    : store_(space, rect_grid_cells, public_index), wire_cost_(wire_cost) {}
+    : store_(space, rect_grid_cells, public_index) {}
 
 Status QueryProcessor::ApplyCloakedUpdate(ObjectId pseudonym,
                                           const Rect& region) {
-  CLOAKDB_RETURN_IF_ERROR(store_.UpsertPrivateRegion(pseudonym, region));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.cloaked_updates;
-  return Status::OK();
+  return store_.UpsertPrivateRegion(pseudonym, region);
 }
 
 Status QueryProcessor::DropPseudonym(ObjectId pseudonym) {
   return store_.RemovePrivateRegion(pseudonym);
-}
-
-void QueryProcessor::CountPrivateQuery(uint64_t ServerStats::*counter,
-                                       RunningStats ServerStats::*candidates,
-                                       size_t num_candidates) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++(stats_.*counter);
-  (stats_.*candidates).Add(static_cast<double>(num_candidates));
-  stats_.bytes_to_clients += num_candidates * wire_cost_.bytes_per_object;
 }
 
 Result<PrivateRangeResult> QueryProcessor::PrivateRange(
@@ -61,11 +34,6 @@ Result<PrivateRangeResult> QueryProcessor::PrivateRange(
                  static_cast<double>(result.value().candidates.size()));
   span.End();
   probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_range_queries,
-                      &ServerStats::range_candidates,
-                      result.value().candidates.size());
-  }
   return result;
 }
 
@@ -79,11 +47,6 @@ Result<PrivateNnResult> QueryProcessor::PrivateNn(const Rect& cloaked,
                  static_cast<double>(result.value().candidates.size()));
   span.End();
   probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_nn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
   return result;
 }
 
@@ -98,18 +61,13 @@ Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
                  static_cast<double>(result.value().candidates.size()));
   span.End();
   probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_knn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
   return result;
 }
 
 Result<std::vector<PublicObject>> QueryProcessor::SharedProbe(
     const Rect& probe_region, Category category) const {
-  // Not a client-visible query: no stats. Probe latency is recorded by the
-  // service's shared-execution histogram around this call.
+  // Not a client-visible query. Probe latency is recorded by the service's
+  // shared-execution histogram around this call.
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.shared_probe");
   return SharedProbeQuery(store_, probe_region, category);
 }
@@ -128,66 +86,33 @@ Result<PrivateRangeResult> QueryProcessor::PrivateRangeShared(
     const std::vector<PublicObject>& superset, const Rect& cloaked,
     double radius, Category category,
     const PrivateRangeOptions& opts) const {
-  auto result = PrivateRangeFromSuperset(store_, superset, cloaked, radius,
-                                         category, opts);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_range_queries,
-                      &ServerStats::range_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  return PrivateRangeFromSuperset(store_, superset, cloaked, radius,
+                                  category, opts);
 }
 
 Result<PrivateNnResult> QueryProcessor::PrivateNnShared(
     const std::vector<PublicObject>& superset, const Rect& cloaked,
     Category category, double known_fetch_radius) const {
-  auto result = PrivateNnFromSuperset(store_, superset, cloaked, category,
-                                      known_fetch_radius);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_nn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  return PrivateNnFromSuperset(store_, superset, cloaked, category,
+                               known_fetch_radius);
 }
 
 Result<PrivateKnnResult> QueryProcessor::PrivateKnnShared(
     const std::vector<PublicObject>& superset, const Rect& cloaked, size_t k,
     Category category, double known_fetch_radius) const {
-  auto result = PrivateKnnFromSuperset(store_, superset, cloaked, k, category,
-                                       known_fetch_radius);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_knn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
-}
-
-void QueryProcessor::NotePublicCountFromCache() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.public_count_queries;
+  return PrivateKnnFromSuperset(store_, superset, cloaked, k, category,
+                                known_fetch_radius);
 }
 
 Result<PrivatePrivateRangeResult> QueryProcessor::PrivatePrivateRange(
     const Rect& querier, double radius,
     const PrivatePrivateOptions& opts) const {
-  auto result = PrivatePrivateRangeQuery(store_, querier, radius, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.private_private_queries;
-  }
-  return result;
+  return PrivatePrivateRangeQuery(store_, querier, radius, opts);
 }
 
 Result<PrivatePrivateNnResult> QueryProcessor::PrivatePrivateNn(
     const Rect& querier, const PrivatePrivateOptions& opts) const {
-  auto result = PrivatePrivateNnQuery(store_, querier, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.private_private_queries;
-  }
-  return result;
+  return PrivatePrivateNnQuery(store_, querier, opts);
 }
 
 Result<PublicCountResult> QueryProcessor::PublicCount(
@@ -197,21 +122,12 @@ Result<PublicCountResult> QueryProcessor::PublicCount(
   auto result = PublicRangeCountQuery(store_, window);
   span.End();
   probe.Stop();
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.public_count_queries;
-  }
   return result;
 }
 
 Result<PublicNnResult> QueryProcessor::PublicNn(
     const Point& from, const PublicNnOptions& opts) const {
-  auto result = PublicNnQuery(store_, from, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.public_nn_queries;
-  }
-  return result;
+  return PublicNnQuery(store_, from, opts);
 }
 
 Result<HeatmapResult> QueryProcessor::Heatmap(uint32_t resolution) const {
@@ -220,23 +136,7 @@ Result<HeatmapResult> QueryProcessor::Heatmap(uint32_t resolution) const {
   auto result = PublicHeatmapQuery(store_, resolution);
   span.End();
   probe.Stop();
-  if (result.ok()) {
-    // Heatmaps used to inflate public_count_queries; they have their own
-    // counter so the count-query stream stays an honest workload signal.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heatmap_queries;
-  }
   return result;
-}
-
-ServerStats QueryProcessor::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-void QueryProcessor::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_ = ServerStats{};
 }
 
 namespace {

@@ -2,21 +2,18 @@
 //
 // Receives cloaked updates from the Location Anonymizer, stores public
 // objects, and dispatches the two novel query classes (private-over-public,
-// public-over-private) while keeping per-query cost statistics (candidate
-// counts and an estimate of bytes shipped to mobile clients — the
-// transmission-cost side of the paper's privacy/QoS trade-off).
+// public-over-private). Per-query cost signals (counts, candidates, modeled
+// wire bytes) are kept by the service's MetricsRegistry, not here.
 //
 // Thread safety: data-management entry points (ApplyCloakedUpdate,
 // DropPseudonym, store() mutation) require exclusive access. All query
-// methods are const and touch only immutable store state plus the
-// internally-locked stats block, so any number of threads may run queries
-// concurrently as long as no writer is in flight — the read path the
-// sharded service layer (src/service/) relies on.
+// methods are const and touch only immutable store state, so any number of
+// threads may run queries concurrently as long as no writer is in flight —
+// the read path the sharded service layer (src/service/) relies on.
 
 #ifndef CLOAKDB_SERVER_QUERY_PROCESSOR_H_
 #define CLOAKDB_SERVER_QUERY_PROCESSOR_H_
 
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -24,39 +21,19 @@
 #include "server/private_private.h"
 #include "server/private_queries.h"
 #include "server/public_queries.h"
-#include "util/stats.h"
 #include "util/status.h"
 
 namespace cloakdb {
 
-/// Wire-size model for the candidate lists shipped to mobile clients.
-/// Experiments vary payload size (richer records, compression) by passing a
-/// different model to the QueryProcessor constructor instead of
-/// recompiling.
+/// Wire-size model for the candidate lists shipped to mobile clients: the
+/// service prices its `query.<kind>.wire_bytes` counters with it, so
+/// experiments vary payload size (richer records, compression) by option
+/// instead of recompiling.
 struct WireCostModel {
   /// Bytes to ship one public object (id + location + category by default,
   /// ignoring names).
   size_t bytes_per_object = 8 + 16 + 4;
 };
-
-/// Query-processing counters.
-struct ServerStats {
-  uint64_t cloaked_updates = 0;
-  uint64_t private_range_queries = 0;
-  uint64_t private_nn_queries = 0;
-  uint64_t private_knn_queries = 0;
-  uint64_t private_private_queries = 0;
-  uint64_t public_count_queries = 0;
-  uint64_t public_nn_queries = 0;
-  uint64_t heatmap_queries = 0;
-  RunningStats range_candidates;   ///< Candidates per private range query.
-  RunningStats nn_candidates;      ///< Candidates per private NN query.
-  uint64_t bytes_to_clients = 0;   ///< Modeled candidate-list traffic.
-};
-
-/// Folds `from` into `into` (counter sums; candidate stats merged) — the
-/// reduction used to aggregate per-shard stats into ServiceStats.
-void MergeServerStats(ServerStats* into, const ServerStats& from);
 
 /// Optional per-query-kind index-probe latency sinks (microseconds). The
 /// sharded service points every shard's processor at one set of shared
@@ -75,11 +52,9 @@ struct QueryProcessorObs {
 /// The location-based database server.
 class QueryProcessor {
  public:
-  /// `space` bounds the private-region index; `wire_cost` prices the
-  /// candidate lists charged to bytes_to_clients; `public_index` selects
-  /// the per-category public-data structure (index/public_index.h).
+  /// `space` bounds the private-region index; `public_index` configures
+  /// the per-category public-data index (index/public_index.h).
   explicit QueryProcessor(const Rect& space, uint32_t rect_grid_cells = 64,
-                          const WireCostModel& wire_cost = {},
                           const PublicCategoryIndex::Config& public_index = {});
 
   /// Data management (delegates to the ObjectStore).
@@ -109,16 +84,14 @@ class QueryProcessor {
   // --- Shared execution (src/service/ probe sharing) ----------------------
   // One widened probe fetched via SharedProbe can serve a whole cluster of
   // overlapping cloaked queries; the *Shared entry points refine a member's
-  // exact answer from that superset and keep the same per-kind statistics
-  // as the isolated queries (counted only when the query is accepted, so
-  // cached and uncached runs stay comparable).
+  // exact answer from that superset.
 
   /// Materializes every `category` object inside `probe_region`.
   Result<std::vector<PublicObject>> SharedProbe(const Rect& probe_region,
                                                 Category category) const;
 
   /// Conservative NN / k-NN fetch radii (the reach a shared probe must
-  /// cover); thin wrappers over server/private_queries.h, no stats.
+  /// cover); thin wrappers over server/private_queries.h.
   Result<double> NnFetchReach(const Rect& cloaked, Category category) const;
   Result<double> KnnFetchReach(const Rect& cloaked, size_t k,
                                Category category) const;
@@ -142,10 +115,6 @@ class QueryProcessor {
       const std::vector<PublicObject>& superset, const Rect& cloaked,
       size_t k, Category category, double known_fetch_radius = 0.0) const;
 
-  /// Counts a public-count query served verbatim from the service's
-  /// candidate cache, so ServerStats stays comparable with uncached runs.
-  void NotePublicCountFromCache() const;
-
   /// Private range query over private data (both sides cloaked).
   Result<PrivatePrivateRangeResult> PrivatePrivateRange(
       const Rect& querier, double radius,
@@ -165,31 +134,14 @@ class QueryProcessor {
   /// Expected-density heatmap over private data (Fig. 6a generalized).
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
-  const WireCostModel& wire_cost() const { return wire_cost_; }
-
-  /// Snapshot of the counters (copied under the stats lock).
-  ServerStats stats() const;
-  void ResetStats();
-
   /// Installs probe-latency sinks (histograms are internally synchronized,
   /// so concurrent const queries may record freely). Call before queries
   /// start; the handles must outlive the processor.
   void SetObs(const QueryProcessorObs& obs) { obs_ = obs; }
 
  private:
-  /// Books one *accepted* private query: kind counter, candidate-count
-  /// stream, modeled wire bytes. Rejected queries must never reach this.
-  void CountPrivateQuery(uint64_t ServerStats::*counter,
-                         RunningStats ServerStats::*candidates,
-                         size_t num_candidates) const;
-
   ObjectStore store_;
-  WireCostModel wire_cost_;
   QueryProcessorObs obs_;
-  /// Query methods are logically read-only; the counters they bump live
-  /// behind this lock so concurrent const queries stay race-free.
-  mutable std::mutex stats_mu_;
-  mutable ServerStats stats_;
 };
 
 // --- Fan-in merge helpers -------------------------------------------------

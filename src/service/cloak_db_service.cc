@@ -399,7 +399,6 @@ Status CloakDbService::Start() {
     config.anonymizer.pseudonym_seed =
         options_.anonymizer.pseudonym_seed ^ Mix64(i + 1);
     config.rect_grid_cells = options_.rect_grid_cells;
-    config.wire_cost = options_.wire_cost;
     config.queue_capacity = options_.queue_capacity;
     config.obs = shard_obs;
     config.server_obs = server_obs;
@@ -412,11 +411,10 @@ Status CloakDbService::Start() {
     config.continuous = options_.continuous;
     config.cq_obs = cq_obs_;
     config.durability = durable ? durability_[i].get() : nullptr;
-    config.public_index.mode = options_.public_index;
     config.public_index.overlay_compact_limit =
         options_.static_index_compact_limit;
     config.public_index.obs = &static_index_obs_;
-    if (durable && options_.public_index == PublicIndexMode::kStatic) {
+    if (durable) {
       config.index_blob_path = options_.data_dir + "/shard-" +
                                std::to_string(i) + "/static_index.blob";
     }

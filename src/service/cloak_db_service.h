@@ -70,7 +70,7 @@ struct CloakDbServiceOptions {
   /// Private-region index granularity of each shard's server.
   uint32_t rect_grid_cells = 64;
 
-  /// Wire-cost model applied by every shard's server.
+  /// Wire-cost model pricing the `query.<kind>.wire_bytes` counters.
   WireCostModel wire_cost;
 
   /// Retained slowest queries (kind, latency, region area, fan-out width,
@@ -131,14 +131,6 @@ struct CloakDbServiceOptions {
   ContinuousRegistryOptions continuous;
 
   // --- Public index --------------------------------------------------------
-
-  /// Which structure serves each category's public POIs on every shard
-  /// stripe (index/public_index.h). kStatic (the default) seals bulk
-  /// loads into a packed StaticRTree and spills post-seal writes into a
-  /// small dynamic overlay merged at query time; kDynamic keeps the
-  /// pre-sealing quadratic-split R-tree everywhere (the oracle the twin
-  /// tests compare against).
-  PublicIndexMode public_index = PublicIndexMode::kStatic;
 
   /// Per-category overlay + tombstone count that triggers an inline
   /// compaction back into the sealed tree.

@@ -28,7 +28,6 @@ ServiceStats AggregateShardStats(const std::vector<ShardStats>& shards,
   total.worker_threads = worker_threads;
   for (const ShardStats& s : shards) {
     MergeAnonymizerStats(&total.anonymizer, s.anonymizer);
-    MergeServerStats(&total.server, s.server);
     MergeIngestStats(&total.ingest, s.ingest);
     total.queue_depth += s.queue_depth;
     total.num_users += s.num_users;
@@ -53,9 +52,7 @@ std::string ServiceStats::ToString() const {
       "ingest: enqueued=%llu applied=%llu rejected=%llu batches=%llu "
       "avg_batch=%.1f rotations=%llu\n"
       "anonymizer: updates=%llu computed=%llu incremental=%llu shared=%llu "
-      "unsatisfied=%llu\n"
-      "server: cloaked=%llu range=%llu nn=%llu knn=%llu count=%llu "
-      "heatmap=%llu bytes=%llu\n",
+      "unsatisfied=%llu\n",
       num_shards, worker_threads, num_users, queue_depth,
       static_cast<double>(uptime_us) / 1e6,
       static_cast<unsigned long long>(ingest.updates_enqueued),
@@ -68,14 +65,7 @@ std::string ServiceStats::ToString() const {
       static_cast<unsigned long long>(anonymizer.cloaks_computed),
       static_cast<unsigned long long>(anonymizer.incremental_reuses),
       static_cast<unsigned long long>(anonymizer.shared_reuses),
-      static_cast<unsigned long long>(anonymizer.unsatisfied),
-      static_cast<unsigned long long>(server.cloaked_updates),
-      static_cast<unsigned long long>(server.private_range_queries),
-      static_cast<unsigned long long>(server.private_nn_queries),
-      static_cast<unsigned long long>(server.private_knn_queries),
-      static_cast<unsigned long long>(server.public_count_queries),
-      static_cast<unsigned long long>(server.heatmap_queries),
-      static_cast<unsigned long long>(server.bytes_to_clients));
+      static_cast<unsigned long long>(anonymizer.unsatisfied));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),

@@ -1,7 +1,7 @@
 // Aggregated self-instrumentation of the sharded CloakDB service.
 //
-// Every shard keeps its own AnonymizerStats / ServerStats plus ingestion
-// counters; ServiceStats is the cross-shard reduction handed to operators
+// Every shard keeps its own AnonymizerStats plus ingestion counters;
+// ServiceStats is the cross-shard reduction handed to operators
 // (the per-shard partials stay available for imbalance diagnosis).
 
 #ifndef CLOAKDB_SERVICE_SERVICE_STATS_H_
@@ -12,7 +12,6 @@
 
 #include "core/anonymizer.h"
 #include "obs/slow_query_log.h"
-#include "server/query_processor.h"
 #include "util/stats.h"
 
 namespace cloakdb {
@@ -36,7 +35,6 @@ void MergeIngestStats(ShardIngestStats* into, const ShardIngestStats& from);
 struct ShardStats {
   uint32_t shard = 0;
   AnonymizerStats anonymizer;
-  ServerStats server;
   ShardIngestStats ingest;
   size_t queue_depth = 0;   ///< Updates waiting in the shard queue.
   size_t num_users = 0;     ///< Users routed to this shard.
@@ -74,7 +72,6 @@ struct ServiceStats {
   /// labels the snapshot for dashboards and artifacts.
   int64_t snapshot_unix_us = 0;
   AnonymizerStats anonymizer;  ///< Sum over shards.
-  ServerStats server;          ///< Sum over shards.
   ShardIngestStats ingest;     ///< Sum over shards.
   size_t queue_depth = 0;      ///< Total updates currently queued.
   size_t num_users = 0;        ///< Total registered users.

@@ -22,7 +22,7 @@ Shard::Shard(const ShardConfig& config,
     : config_(config),
       anonymizer_(std::move(anonymizer)),
       server_(config.anonymizer.space, config.rect_grid_cells,
-              config.wire_cost, config.public_index),
+              config.public_index),
       signature_(config.anonymizer.space, config.signature_cells),
       continuous_(config.anonymizer.space, config.continuous, config.cq_obs),
       cache_(config.cache_capacity),
@@ -529,10 +529,7 @@ Result<PublicCountResult> Shard::PublicCountCached(const Rect& window) const {
   CacheKey key;
   key.kind = CacheKind::kCount;
   key.region = window;
-  if (auto entry = cache_.Lookup(key); entry != nullptr) {
-    server_.NotePublicCountFromCache();
-    return entry->count;
-  }
+  if (auto entry = cache_.Lookup(key); entry != nullptr) return entry->count;
   auto result = server_.PublicCount(window);
   if (!result.ok()) return result;
   CacheEntry entry;
@@ -617,8 +614,7 @@ Status Shard::WriteCheckpoint() {
   // not a source of truth: a write failure (e.g. more categories than the
   // directory holds) degrades recovery to an STR rebuild, never fails the
   // checkpoint.
-  if (!config_.index_blob_path.empty() &&
-      server_.store().public_index_mode() == PublicIndexMode::kStatic) {
+  if (!config_.index_blob_path.empty()) {
     std::vector<std::pair<uint32_t, std::string>> blobs;
     for (Category category : server_.store().Categories()) {
       auto index = server_.store().CategoryIndex(category);
@@ -631,8 +627,6 @@ Status Shard::WriteCheckpoint() {
 }
 
 Status Shard::CompactPublicIndex() {
-  if (server_.store().public_index_mode() != PublicIndexMode::kStatic)
-    return Status::OK();
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (Category category : server_.store().Categories()) {
     PublicCategoryIndex* index = server_.store().MutableCategoryIndex(category);
@@ -648,14 +642,13 @@ Status Shard::RestoreSnapshot(const storage::ShardSnapshot& snapshot) {
   std::map<Category, std::vector<PublicObject>> by_category;
   for (const PublicObject& o : snapshot.public_objects)
     by_category[o.category].push_back(o);
-  // In static mode, try to adopt each category's sealed tree straight out
-  // of the mmap'd sidecar. The sidecar is untrusted: open, parse, and
-  // per-entry verification against the snapshot can each fail, and every
-  // failure falls back to the historical STR rebuild below.
+  // Try to adopt each category's sealed tree straight out of the mmap'd
+  // sidecar. The sidecar is untrusted: open, parse, and per-entry
+  // verification against the snapshot can each fail, and every failure
+  // falls back to the historical STR rebuild below.
   std::shared_ptr<util::MmapFile> sidecar;
   std::map<Category, storage::IndexBlobEntry> sidecar_entries;
-  if (!config_.index_blob_path.empty() &&
-      server_.store().public_index_mode() == PublicIndexMode::kStatic) {
+  if (!config_.index_blob_path.empty()) {
     auto opened = storage::OpenIndexBlobFile(
         config_.index_blob_path, config_.index_blob_force_read_fallback);
     if (opened.ok()) {
@@ -786,7 +779,6 @@ ShardStats Shard::Stats() const {
   ShardStats stats;
   stats.shard = config_.index;
   stats.anonymizer = anonymizer_->stats();
-  stats.server = server_.stats();
   stats.ingest = ingest_;
   stats.ingest.updates_enqueued = enqueued_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.size();

@@ -21,6 +21,7 @@
 #include "sim/workload.h"
 #include "system/messages.h"
 #include "system/mobile_client.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace cloakdb {

@@ -1,4 +1,4 @@
-// PublicCategoryIndex facade oracle: a static-mode facade (sealed tree +
+// PublicCategoryIndex facade oracle: a facade (sealed tree +
 // overlay + tombstones) fed a randomized op stream must answer exactly
 // like a plain dynamic RTree fed the same stream — before and after
 // compactions, and across the AdoptSealed recovery path.
@@ -22,7 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 PublicCategoryIndex::Config StaticConfig(size_t compact_limit = 1024) {
   PublicCategoryIndex::Config config;
-  config.mode = PublicIndexMode::kStatic;
   config.overlay_compact_limit = compact_limit;
   return config;
 }
@@ -55,30 +54,6 @@ void ExpectSameAnswers(const PublicCategoryIndex& facade, const RTree& oracle,
     }
     EXPECT_EQ(facade.NearestDistance(q), oracle.NearestDistance(q));
   }
-}
-
-TEST(PublicCategoryIndexTest, ModeNamesRoundTrip) {
-  EXPECT_STREQ(PublicIndexModeName(PublicIndexMode::kDynamic), "dynamic");
-  EXPECT_STREQ(PublicIndexModeName(PublicIndexMode::kStatic), "static");
-  EXPECT_EQ(PublicIndexModeFromName("dynamic").value(),
-            PublicIndexMode::kDynamic);
-  EXPECT_EQ(PublicIndexModeFromName("static").value(),
-            PublicIndexMode::kStatic);
-  EXPECT_EQ(PublicIndexModeFromName("hybrid").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PublicCategoryIndexTest, DynamicModeDelegates) {
-  PublicCategoryIndex facade;  // default config: dynamic
-  EXPECT_FALSE(facade.is_static());
-  ASSERT_TRUE(facade.Insert(1, {1, 1}).ok());
-  ASSERT_TRUE(facade.Insert(2, {2, 2}).ok());
-  EXPECT_EQ(facade.Insert(1, {3, 3}).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(facade.size(), 2u);
-  ASSERT_TRUE(facade.Remove(1).ok());
-  EXPECT_EQ(facade.Remove(1).code(), StatusCode::kNotFound);
-  EXPECT_FALSE(facade.HasSealedTree());
-  EXPECT_TRUE(facade.SerializeSealedBlob().empty());
 }
 
 TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {

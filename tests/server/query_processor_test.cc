@@ -9,8 +9,7 @@
 namespace cloakdb {
 namespace {
 
-// QueryProcessor is pinned in place (it owns a stats lock), so the fixture
-// populates an instance the caller constructed.
+// Adds `pois` random category-1 objects to `server`.
 void Populate(QueryProcessor* server, size_t pois, uint64_t seed = 41) {
   Rng rng(seed);
   for (ObjectId id = 1; id <= pois; ++id) {
@@ -27,115 +26,12 @@ TEST(QueryProcessorTest, CloakedUpdateLifecycle) {
   Populate(&server, 10);
   ASSERT_TRUE(server.ApplyCloakedUpdate(1001, Rect(10, 10, 20, 20)).ok());
   EXPECT_EQ(server.store().num_private(), 1u);
-  EXPECT_EQ(server.stats().cloaked_updates, 1u);
   // Update replaces (a moving user).
   ASSERT_TRUE(server.ApplyCloakedUpdate(1001, Rect(30, 30, 40, 40)).ok());
   EXPECT_EQ(server.store().num_private(), 1u);
-  EXPECT_EQ(server.stats().cloaked_updates, 2u);
   ASSERT_TRUE(server.DropPseudonym(1001).ok());
   EXPECT_EQ(server.store().num_private(), 0u);
   EXPECT_EQ(server.DropPseudonym(1001).code(), StatusCode::kNotFound);
-}
-
-TEST(QueryProcessorTest, PrivateQueriesUpdateStats) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 200);
-  Rect cloaked(40, 40, 50, 50);
-  auto range = server.PrivateRange(cloaked, 5.0, 1);
-  ASSERT_TRUE(range.ok());
-  auto nn = server.PrivateNn(cloaked, 1);
-  ASSERT_TRUE(nn.ok());
-  EXPECT_EQ(server.stats().private_range_queries, 1u);
-  EXPECT_EQ(server.stats().private_nn_queries, 1u);
-  EXPECT_EQ(server.stats().range_candidates.count(), 1u);
-  EXPECT_EQ(server.stats().nn_candidates.count(), 1u);
-  size_t expected_bytes =
-      (range.value().candidates.size() + nn.value().candidates.size()) *
-      server.wire_cost().bytes_per_object;
-  EXPECT_EQ(server.stats().bytes_to_clients, expected_bytes);
-}
-
-TEST(QueryProcessorTest, FailedQueriesDoNotCountInStats) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 10);
-  EXPECT_FALSE(server.PrivateRange(Rect(), 5.0, 1).ok());
-  EXPECT_FALSE(server.PrivateNn(Rect(1, 1, 2, 2), 99).ok());
-  EXPECT_EQ(server.stats().private_range_queries, 0u);
-  EXPECT_EQ(server.stats().private_nn_queries, 0u);
-}
-
-// Regression: only accepted queries may count, on every entry point —
-// including the shared-execution ones. A rejected query must leave all of
-// query count, candidate moments and wire bytes untouched.
-TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 50);
-  std::vector<PublicObject> superset;
-
-  EXPECT_FALSE(server.PrivateRange(Rect(1, 1, 2, 2), -1.0, 1).ok());
-  EXPECT_FALSE(server.PrivateKnn(Rect(1, 1, 2, 2), 0, 1).ok());
-  EXPECT_FALSE(server.PrivateRangeShared(superset, Rect(), 5.0, 1).ok());
-  EXPECT_FALSE(server.PrivateNnShared(superset, Rect(), 1).ok());
-  EXPECT_FALSE(server.PrivateKnnShared(superset, Rect(1, 1, 2, 2), 0, 1).ok());
-  EXPECT_FALSE(server.PublicCount(Rect()).ok());
-
-  const ServerStats& stats = server.stats();
-  EXPECT_EQ(stats.private_range_queries, 0u);
-  EXPECT_EQ(stats.private_nn_queries, 0u);
-  EXPECT_EQ(stats.private_knn_queries, 0u);
-  EXPECT_EQ(stats.public_count_queries, 0u);
-  EXPECT_EQ(stats.range_candidates.count(), 0u);
-  EXPECT_EQ(stats.nn_candidates.count(), 0u);
-  EXPECT_EQ(stats.bytes_to_clients, 0u);
-}
-
-// The shared entry points count through the same counters as the isolated
-// ones, so ServerStats stays comparable whether a query was answered from
-// a shared probe or its own.
-TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 200);
-  const Rect cloaked(40, 40, 50, 50);
-
-  auto superset = server.SharedProbe(Rect(20, 20, 70, 70), 1);
-  ASSERT_TRUE(superset.ok());
-  auto range = server.PrivateRangeShared(superset.value(), cloaked, 5.0, 1);
-  ASSERT_TRUE(range.ok());
-  auto nn = server.PrivateNnShared(superset.value(), cloaked, 1);
-  ASSERT_TRUE(nn.ok());
-  auto knn = server.PrivateKnnShared(superset.value(), cloaked, 3, 1);
-  ASSERT_TRUE(knn.ok());
-
-  const ServerStats& stats = server.stats();
-  EXPECT_EQ(stats.private_range_queries, 1u);
-  EXPECT_EQ(stats.private_nn_queries, 1u);
-  EXPECT_EQ(stats.private_knn_queries, 1u);
-  EXPECT_EQ(stats.range_candidates.count(), 1u);
-  EXPECT_EQ(stats.nn_candidates.count(), 2u);  // NN + kNN share the moment
-  size_t expected_bytes = (range.value().candidates.size() +
-                           nn.value().candidates.size() +
-                           knn.value().candidates.size()) *
-                          server.wire_cost().bytes_per_object;
-  EXPECT_EQ(stats.bytes_to_clients, expected_bytes);
-}
-
-// Regression for the stats miscount: Heatmap used to increment
-// public_count_queries, inflating the count-query rate. It now has its own
-// counter.
-TEST(QueryProcessorTest, HeatmapCountsItsOwnQueries) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 10);
-  ASSERT_TRUE(server.ApplyCloakedUpdate(1, Rect(0, 0, 50, 50)).ok());
-  ASSERT_TRUE(server.Heatmap(4).ok());
-  ASSERT_TRUE(server.Heatmap(8).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
-  EXPECT_EQ(server.stats().public_count_queries, 0u);
-  ASSERT_TRUE(server.PublicCount(Rect(0, 0, 50, 50)).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
-  EXPECT_EQ(server.stats().public_count_queries, 1u);
-  // A rejected heatmap does not count either.
-  EXPECT_FALSE(server.Heatmap(0).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
 }
 
 TEST(QueryProcessorTest, PublicQueriesRouted) {
@@ -148,8 +44,6 @@ TEST(QueryProcessorTest, PublicQueriesRouted) {
   auto nn = server.PublicNn({0, 0});
   ASSERT_TRUE(nn.ok());
   EXPECT_EQ(nn.value().most_likely, 1001u);
-  EXPECT_EQ(server.stats().public_count_queries, 1u);
-  EXPECT_EQ(server.stats().public_nn_queries, 1u);
 }
 
 TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
@@ -161,7 +55,6 @@ TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
   auto knn = server.PrivateKnn(Rect(40, 40, 50, 50), 3, 1);
   ASSERT_TRUE(knn.ok());
   EXPECT_GE(knn.value().candidates.size(), 3u);
-  EXPECT_EQ(server.stats().private_knn_queries, 1u);
 
   PrivatePrivateOptions options;
   options.exclude = 1001;
@@ -172,7 +65,6 @@ TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
   auto pp_nn = server.PrivatePrivateNn(Rect(10, 10, 20, 20), options);
   ASSERT_TRUE(pp_nn.ok());
   EXPECT_EQ(pp_nn.value().most_likely, 1002u);
-  EXPECT_EQ(server.stats().private_private_queries, 2u);
 }
 
 TEST(QueryProcessorTest, HeatmapFacade) {
@@ -183,17 +75,6 @@ TEST(QueryProcessorTest, HeatmapFacade) {
   ASSERT_TRUE(map.ok());
   EXPECT_NEAR(map.value().TotalMass(), 1.0, 1e-9);
   EXPECT_FALSE(server.Heatmap(0).ok());
-}
-
-TEST(QueryProcessorTest, ResetStatsClearsEverything) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 50);
-  ASSERT_TRUE(server.ApplyCloakedUpdate(1, Rect(1, 1, 2, 2)).ok());
-  ASSERT_TRUE(server.PrivateNn(Rect(10, 10, 20, 20), 1).ok());
-  server.ResetStats();
-  EXPECT_EQ(server.stats().cloaked_updates, 0u);
-  EXPECT_EQ(server.stats().private_nn_queries, 0u);
-  EXPECT_EQ(server.stats().bytes_to_clients, 0u);
 }
 
 }  // namespace
