@@ -11,6 +11,7 @@
 #include "bench_common.h"
 #include "geom/distance.h"
 #include "server/private_queries.h"
+#include "service/cloak_db_service.h"
 
 namespace cloakdb {
 namespace {
@@ -52,9 +53,9 @@ void BM_Fig5a_PrivateRange(benchmark::State& state) {
       total_candidates / static_cast<double>(queries);
   state.counters["avg_bytes"] = total_candidates /
                                 static_cast<double>(queries) *
-                                WireCostModel{}.bytes_per_object;
+                                kWireBytesPerObject;
   state.counters["naive_send_all_bytes"] =
-      2000.0 * WireCostModel{}.bytes_per_object;  // the paper's baseline
+      2000.0 * kWireBytesPerObject;  // the paper's baseline
 }
 BENCHMARK(BM_Fig5a_PrivateRange)
     ->Arg(1)->Arg(10)->Arg(50)->Arg(200)->Arg(1000)
@@ -82,8 +83,8 @@ void BM_Fig5b_PrivateNn(benchmark::State& state) {
   state.counters["avg_pruned"] = total_pruned / static_cast<double>(queries);
   state.counters["avg_bytes"] = total_candidates /
                                 static_cast<double>(queries) *
-                                WireCostModel{}.bytes_per_object;
-  state.counters["naive_send_all_bytes"] = 2000.0 * WireCostModel{}.bytes_per_object;
+                                kWireBytesPerObject;
+  state.counters["naive_send_all_bytes"] = 2000.0 * kWireBytesPerObject;
 }
 BENCHMARK(BM_Fig5b_PrivateNn)
     ->Arg(1)->Arg(10)->Arg(50)->Arg(200)->Arg(1000)

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "geom/distance.h"
+
 namespace cloakdb {
 
 Point CenterAttack::Guess(const Rect& region, Rng* rng) const {
@@ -29,15 +31,6 @@ Point UniformAttack::Guess(const Rect& region, Rng* rng) const {
   return {rng->Uniform(region.min_x, region.max_x),
           rng->Uniform(region.min_y, region.max_y)};
 }
-
-namespace {
-
-double HalfDiagonal(const Rect& region) {
-  return 0.5 * std::sqrt(region.Width() * region.Width() +
-                         region.Height() * region.Height());
-}
-
-}  // namespace
 
 bool CenterAttackCompromises(const Rect& region, const Point& true_location,
                              double epsilon_fraction) {
@@ -73,9 +66,7 @@ LeakageReport EvaluateLeakage(
   for (const auto& obs : observations) {
     Point guess = attack.Guess(obs.region, rng);
     double err = Distance(guess, obs.true_location);
-    double half_diag =
-        0.5 * std::sqrt(obs.region.Width() * obs.region.Width() +
-                        obs.region.Height() * obs.region.Height());
+    double half_diag = HalfDiagonal(obs.region);
     double norm = half_diag > 0.0 ? err / half_diag : (err > 0.0 ? 1e9 : 0.0);
     report.absolute_error.Add(err);
     report.normalized_error.Add(norm);

@@ -46,6 +46,10 @@ double MaxDist(const Point& p, const Rect& r) {
   return std::sqrt(MaxDistSquared(p, r));
 }
 
+double HalfDiagonal(const Rect& r) {
+  return 0.5 * std::sqrt(r.Width() * r.Width() + r.Height() * r.Height());
+}
+
 double MinDist(const Rect& a, const Rect& b) {
   double dx = 0.0;
   if (a.max_x < b.min_x)

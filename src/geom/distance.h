@@ -32,6 +32,10 @@ double MinDist(const Rect& a, const Rect& b);
 /// Largest distance between any point of `a` and any point of `b`.
 double MaxDist(const Rect& a, const Rect& b);
 
+/// Half the diagonal of `r`: the farthest a point of `r` can be from its
+/// nearest corner (the slack term of the private NN / k-NN fetch radius).
+double HalfDiagonal(const Rect& r);
+
 /// MinMaxDist(p, r): the smallest upper bound on the distance from `p` to an
 /// object *known to lie somewhere in* r, given that at least one face of r
 /// touches the object MBR (classic R-tree NN pruning bound). For degenerate

@@ -1,7 +1,6 @@
 #include "server/private_queries.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "geom/distance.h"
@@ -24,18 +23,8 @@ std::vector<PublicObject> Materialize(const ObjectStore& store,
   return out;
 }
 
-// Half the diagonal of a rectangle: the worst-case distance from a point
-// inside to its nearest corner, the slack term of both fetch bounds.
-double HalfDiagonal(const Rect& rect) {
-  return 0.5 * std::sqrt(rect.Width() * rect.Width() +
-                         rect.Height() * rect.Height());
-}
+}  // namespace
 
-// Dominance pruning: keep o iff MinDist(o, R) <= min_o' MaxDist(o', R).
-// Survivors are exactly the objects no other object is guaranteed to beat
-// for every possible user position. Shared between the isolated query
-// (PointEntry hits) and superset refinement (PublicObject hits) so both
-// paths apply the same predicate by construction. Returns the prune count.
 template <typename T>
 size_t DominancePrune(std::vector<T>* hits, const Rect& cloaked) {
   double min_max_dist = std::numeric_limits<double>::infinity();
@@ -52,10 +41,6 @@ size_t DominancePrune(std::vector<T>* hits, const Rect& cloaked) {
   return before - hits->size();
 }
 
-// k-dominance pruning: o cannot be among any point's k nearest when at
-// least k objects are guaranteed nearer for every possible location, i.e.
-// have MaxDist(o', R) < MinDist(o, R). (o never dominates itself:
-// MaxDist >= MinDist.) Returns the prune count.
 template <typename T>
 size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
   std::vector<double> max_dists;
@@ -79,7 +64,11 @@ size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
   return before - hits->size();
 }
 
-}  // namespace
+template size_t DominancePrune(std::vector<PointEntry>*, const Rect&);
+template size_t DominancePrune(std::vector<PublicObject>*, const Rect&);
+template size_t KDominancePrune(std::vector<PointEntry>*, const Rect&, size_t);
+template size_t KDominancePrune(std::vector<PublicObject>*, const Rect&,
+                                size_t);
 
 Result<PrivateRangeResult> PrivateRangeQuery(
     const ObjectStore& store, const Rect& cloaked, double radius,

@@ -161,6 +161,26 @@ Result<PrivateKnnResult> PrivateKnnFromSuperset(
     const Rect& cloaked, size_t k, Category category,
     double known_fetch_radius = 0.0);
 
+// --- Dominance pruning ----------------------------------------------------
+//
+// The candidate-list rules every NN / k-NN path applies: the isolated
+// queries, superset refinement, the service's cross-shard merges and the
+// standing-query re-filter. Both keep the survivors' order, so an id-sorted
+// list stays sorted. Instantiated for PointEntry and PublicObject.
+
+/// NN dominance: keeps o iff MinDist(o, R) <= min_o' MaxDist(o', R), i.e.
+/// no other object is guaranteed nearer for every possible user position
+/// (the paper's "target A is eliminated" argument). Returns the prune count.
+template <typename T>
+size_t DominancePrune(std::vector<T>* hits, const Rect& cloaked);
+
+/// k-dominance: drops o when at least k objects of `hits` are guaranteed
+/// nearer for every possible location, i.e. have MaxDist(o', R) <
+/// MinDist(o, R) (o never dominates itself: MaxDist >= MinDist). Sorts the
+/// MaxDists once, so it costs O(n log n). Returns the prune count.
+template <typename T>
+size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k);
+
 /// Picks the true k nearest neighbors from k-NN candidates, sorted by
 /// distance (ties by id). Returns fewer when the list is shorter than k.
 std::vector<PublicObject> RefineKnnCandidates(

@@ -1,7 +1,6 @@
 #include "server/query_processor.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
 #include "geom/distance.h"
@@ -186,18 +185,7 @@ PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
 
   // Cross-shard dominance: a candidate that survived its shard can still be
   // beaten by another shard's object for every possible querier location.
-  double min_max_dist = std::numeric_limits<double>::infinity();
-  for (const auto& c : merged.candidates) {
-    min_max_dist = std::min(min_max_dist, MaxDist(c.location, cloaked));
-  }
-  size_t before = merged.candidates.size();
-  merged.candidates.erase(
-      std::remove_if(merged.candidates.begin(), merged.candidates.end(),
-                     [&](const PublicObject& o) {
-                       return MinDist(o.location, cloaked) > min_max_dist;
-                     }),
-      merged.candidates.end());
-  merged.dominance_pruned += before - merged.candidates.size();
+  merged.dominance_pruned += DominancePrune(&merged.candidates, cloaked);
   return merged;
 }
 
@@ -213,27 +201,8 @@ PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
   }
   SortUniqueById(&merged.candidates);
 
-  // Cross-shard k-dominance, same rule as PrivateKnnQuery: drop o when at
-  // least k union members satisfy MaxDist(o', R) < MinDist(o, R).
-  std::vector<double> max_dists;
-  max_dists.reserve(merged.candidates.size());
-  for (const auto& c : merged.candidates) {
-    max_dists.push_back(MaxDist(c.location, cloaked));
-  }
-  std::sort(max_dists.begin(), max_dists.end());
-  size_t before = merged.candidates.size();
-  merged.candidates.erase(
-      std::remove_if(merged.candidates.begin(), merged.candidates.end(),
-                     [&](const PublicObject& o) {
-                       double min_d = MinDist(o.location, cloaked);
-                       size_t closer = static_cast<size_t>(
-                           std::lower_bound(max_dists.begin(),
-                                            max_dists.end(), min_d) -
-                           max_dists.begin());
-                       return closer >= k;
-                     }),
-      merged.candidates.end());
-  merged.dominance_pruned += before - merged.candidates.size();
+  // Cross-shard k-dominance, same rule as PrivateKnnQuery.
+  merged.dominance_pruned += KDominancePrune(&merged.candidates, cloaked, k);
   return merged;
 }
 

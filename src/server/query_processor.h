@@ -25,16 +25,6 @@
 
 namespace cloakdb {
 
-/// Wire-size model for the candidate lists shipped to mobile clients: the
-/// service prices its `query.<kind>.wire_bytes` counters with it, so
-/// experiments vary payload size (richer records, compression) by option
-/// instead of recompiling.
-struct WireCostModel {
-  /// Bytes to ship one public object (id + location + category by default,
-  /// ignoring names).
-  size_t bytes_per_object = 8 + 16 + 4;
-};
-
 /// Optional per-query-kind index-probe latency sinks (microseconds). The
 /// sharded service points every shard's processor at one set of shared
 /// histograms from its MetricsRegistry; standalone processors leave them

@@ -999,7 +999,7 @@ Result<PrivateRangeResult> CloakDbService::PrivateRangeImpl(
   const uint64_t candidates = merged.candidates.size();
   RecordQuery(range_obs_, "private_range", total.Stop(), cloaked.Area(),
               shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
+              candidates * kWireBytesPerObject);
   return merged;
 }
 
@@ -1086,7 +1086,7 @@ Result<PrivateNnResult> CloakDbService::PrivateNnImpl(
   const uint64_t candidates = merged.candidates.size();
   RecordQuery(nn_obs_, "private_nn", total.Stop(), cloaked.Area(),
               shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
+              candidates * kWireBytesPerObject);
   return merged;
 }
 
@@ -1180,7 +1180,7 @@ Result<PrivateKnnResult> CloakDbService::PrivateKnnImpl(
   const uint64_t candidates = merged.candidates.size();
   RecordQuery(knn_obs_, "private_knn", total.Stop(), cloaked.Area(),
               shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
+              candidates * kWireBytesPerObject);
   return merged;
 }
 

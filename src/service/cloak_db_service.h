@@ -45,6 +45,11 @@
 
 namespace cloakdb {
 
+/// Modeled bytes to ship one candidate object to a mobile client (id +
+/// location + category, ignoring names): the price per candidate of the
+/// `query.<kind>.wire_bytes` counters.
+inline constexpr size_t kWireBytesPerObject = 8 + 16 + 4;
+
 /// Service configuration.
 struct CloakDbServiceOptions {
   /// The managed space (also every shard's anonymizer space).
@@ -69,9 +74,6 @@ struct CloakDbServiceOptions {
 
   /// Private-region index granularity of each shard's server.
   uint32_t rect_grid_cells = 64;
-
-  /// Wire-cost model pricing the `query.<kind>.wire_bytes` counters.
-  WireCostModel wire_cost;
 
   /// Retained slowest queries (kind, latency, region area, fan-out width,
   /// candidate count), surfaced via Stats().slow_queries; 0 disables.

@@ -2,21 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "geom/distance.h"
 #include "obs/trace.h"
+#include "server/private_queries.h"
 
 namespace cloakdb {
 
 namespace {
-
-/// Half the diagonal of `r`: the farthest any point of the region is from
-/// the nearest corner's perspective bound used by the NN/kNN fetch radius.
-double HalfDiagonal(const Rect& r) {
-  return 0.5 * std::sqrt(r.Width() * r.Width() + r.Height() * r.Height());
-}
 
 /// The closed ball around `center` lies inside `rect` (a ball is inside a
 /// rectangle iff its bounding square is).
@@ -26,7 +20,8 @@ bool BallInside(const Point& center, double radius, const Rect& rect) {
 }
 
 /// The k-th smallest distance from `from` to the fetched objects (caller
-/// guarantees fetched.size() >= k >= 1).
+/// guarantees fetched.size() >= k >= 1). Selects on squared distances:
+/// sqrt is monotone, so the root of the k-th square is the k-th distance.
 double KthCornerDist(const Point& from, const std::vector<PublicObject>& fetched,
                      size_t k) {
   std::vector<double> dists;
@@ -34,10 +29,10 @@ double KthCornerDist(const Point& from, const std::vector<PublicObject>& fetched
   for (const auto& o : fetched) {
     const double dx = o.location.x - from.x;
     const double dy = o.location.y - from.y;
-    dists.push_back(std::sqrt(dx * dx + dy * dy));
+    dists.push_back(dx * dx + dy * dy);
   }
   std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-  return dists[k - 1];
+  return std::sqrt(dists[k - 1]);
 }
 
 size_t EffectiveK(const ContinuousSpec& spec) {
@@ -68,14 +63,16 @@ uint64_t SymmetricDelta(const std::vector<PublicObject>& a,
 }  // namespace
 
 bool StandingCoverageHolds(const ContinuousSpec& spec, const Rect& region,
-                           const StandingSnapshot& snap) {
+                           const StandingSnapshot& snap, double* reach) {
   if (spec.kind == QueryKind::kPrivateRange) {
+    *reach = spec.radius;
     return snap.coverage.Contains(region.Expanded(spec.radius));
   }
   const size_t k = EffectiveK(spec);
   if (snap.fetched.size() <= k) {
     // Pigeonhole snapshot (the fetch holds the whole category): every
     // object is a candidate for any region the coverage contains.
+    *reach = 0.0;
     return snap.coverage.Contains(region);
   }
   // The cached corner distances are exact only when each corner's k-th
@@ -87,50 +84,37 @@ bool StandingCoverageHolds(const ContinuousSpec& spec, const Rect& region,
     if (!BallInside(corner, d, snap.coverage)) return false;
     max_kth = std::max(max_kth, d);
   }
-  const double reach = max_kth + HalfDiagonal(region);
-  return snap.coverage.Contains(region.Expanded(reach));
+  *reach = max_kth + HalfDiagonal(region);
+  return snap.coverage.Contains(region.Expanded(*reach));
 }
 
-std::vector<PublicObject> ComputeStandingAnswer(
-    const ContinuousSpec& spec, const Rect& region,
-    const std::vector<PublicObject>& fetched, double* fetch_radius) {
-  if (fetch_radius != nullptr) *fetch_radius = 0.0;
-  std::vector<PublicObject> answer;
-  if (spec.kind == QueryKind::kPrivateRange) {
-    for (const auto& o : fetched) {
-      if (MinDist(o.location, region) <= spec.radius) answer.push_back(o);
-    }
-    return answer;
-  }
+double StandingReach(const ContinuousSpec& spec, const Rect& region,
+                     const std::vector<PublicObject>& fetched) {
+  if (spec.kind == QueryKind::kPrivateRange) return spec.radius;
   const size_t k = EffectiveK(spec);
-  if (fetched.size() <= k) return fetched;  // Everything is a candidate.
+  if (fetched.size() <= k) return 0.0;
   double max_kth = 0.0;
   for (const Point& corner : region.Corners()) {
     max_kth = std::max(max_kth, KthCornerDist(corner, fetched, k));
   }
-  const double reach = max_kth + HalfDiagonal(region);
-  if (fetch_radius != nullptr) *fetch_radius = reach;
-  // Conservative fetch, then k-dominance: o survives unless k fetched
-  // objects are guaranteed nearer for every possible issuer location.
-  // Every dominator of an in-reach object is itself in reach, so pruning
-  // over the reach-filtered set equals pruning over the whole category.
-  std::vector<const PublicObject*> cand;
-  std::vector<double> min_dists;
-  std::vector<double> max_dists;
+  return max_kth + HalfDiagonal(region);
+}
+
+std::vector<PublicObject> ComputeStandingAnswer(
+    const ContinuousSpec& spec, const Rect& region,
+    const std::vector<PublicObject>& fetched, double reach) {
+  const size_t k = EffectiveK(spec);
+  if (spec.kind != QueryKind::kPrivateRange && fetched.size() <= k)
+    return fetched;  // Everything is a candidate.
+  std::vector<PublicObject> answer;
   for (const auto& o : fetched) {
-    if (MinDist(o.location, region) <= reach) {
-      cand.push_back(&o);
-      min_dists.push_back(MinDist(o.location, region));
-      max_dists.push_back(MaxDist(o.location, region));
-    }
+    if (MinDist(o.location, region) <= reach) answer.push_back(o);
   }
-  for (size_t i = 0; i < cand.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < cand.size() && dominators < k; ++j) {
-      if (max_dists[j] < min_dists[i]) ++dominators;
-    }
-    if (dominators < k) answer.push_back(*cand[i]);
-  }
+  // NN/kNN: conservative fetch, then k-dominance. Every dominator of an
+  // in-reach object is itself in reach, so pruning over the reach-filtered
+  // set equals pruning over the whole category.
+  if (spec.kind != QueryKind::kPrivateRange)
+    KDominancePrune(&answer, region, k);
   return answer;
 }
 
@@ -245,14 +229,14 @@ bool ContinuousShardRegistry::TouchPrivateLocked(ContinuousQueryId id,
   entry->region = new_region;
   ++entry->epoch;
   if (entry->stale) return true;  // Already queued; sweep sees new region.
+  double reach = 0.0;
   if (options_.force_full_reeval ||
-      !StandingCoverageHolds(entry->spec, new_region, entry->snap)) {
+      !StandingCoverageHolds(entry->spec, new_region, entry->snap, &reach)) {
     MarkStaleLocked(id);
     return true;
   }
   auto fresh = ComputeStandingAnswer(entry->spec, new_region,
-                                     entry->snap.fetched,
-                                     &entry->snap.fetch_radius);
+                                     entry->snap.fetched, reach);
   if (obs_.incremental_refilters != nullptr)
     obs_.incremental_refilters->Increment();
   const uint64_t delta = SymmetricDelta(entry->snap.current, fresh);

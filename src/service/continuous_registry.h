@@ -84,7 +84,6 @@ struct StandingSnapshot {
   std::vector<PublicObject> fetched;    ///< Category objects in coverage,
                                         ///< sorted by id.
   std::vector<PublicObject> current;    ///< Current answer, sorted by id.
-  double fetch_radius = 0.0;            ///< NN/kNN conservative reach used.
   bool degraded = false;                ///< Fan-out was cut short.
   uint64_t covered_shards = 0;
 };
@@ -146,15 +145,23 @@ struct StandingCountPart {
 /// region. NN/kNN: each corner's k-th candidate ball must lie inside the
 /// coverage (making the cached corner distances exact) and the coverage
 /// must contain the region extended by the conservative fetch radius.
+/// When it holds, `*reach` is StandingReach(spec, region, snap.fetched),
+/// computed from the same corner distances.
 bool StandingCoverageHolds(const ContinuousSpec& spec, const Rect& region,
-                           const StandingSnapshot& snap);
+                           const StandingSnapshot& snap, double* reach);
+
+/// The distance bound of the standing answer for `region` over `fetched`:
+/// the radius for range queries; for NN/kNN the conservative fetch radius
+/// (largest corner k-th distance plus half the diagonal), 0 when `fetched`
+/// holds at most k objects (every object is a candidate).
+double StandingReach(const ContinuousSpec& spec, const Rect& region,
+                     const std::vector<PublicObject>& fetched);
 
 /// Computes the standing answer for `region` from a fetched superset
-/// (sorted by id). For NN/kNN also reports the conservative fetch radius
-/// used (0 when the pigeonhole case returned everything).
+/// (sorted by id) and its StandingReach; the answer stays sorted by id.
 std::vector<PublicObject> ComputeStandingAnswer(
     const ContinuousSpec& spec, const Rect& region,
-    const std::vector<PublicObject>& fetched, double* fetch_radius);
+    const std::vector<PublicObject>& fetched, double reach);
 
 /// Registry of the standing queries homed on one shard.
 class ContinuousShardRegistry {

@@ -202,7 +202,6 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
       reach = best;
     }
   }
-  snap.fetch_radius = reach;
   snap.coverage = whole_space
                       ? options_.space
                       : region.Expanded(reach + options_.continuous.slack_margin);
@@ -260,7 +259,8 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
             });
   snap.degraded = degraded;
   snap.covered_shards = covered;
-  snap.current = ComputeStandingAnswer(spec, region, snap.fetched, nullptr);
+  snap.current = ComputeStandingAnswer(
+      spec, region, snap.fetched, StandingReach(spec, region, snap.fetched));
   return snap;
 }
 
